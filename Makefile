@@ -99,12 +99,13 @@ smoke-corpus:
 smoke-jobs:
 	sh scripts/jobs_smoke.sh
 
-# bench runs the go-test benchmark suite, then the batch-driver
+# bench runs the go-test benchmark suite with -benchmem, so the logs
+# show allocs/op and B/op next to ns/op, then the batch-driver
 # benchmark, which snapshots routines/sec, parallel speedup, cache hit
 # rate and a generated-corpus replay leg into BENCH_driver.json
 # (uploaded as a CI artifact).
 bench:
-	$(GO) test -bench . -benchtime 1x -run ^$$ .
+	$(GO) test -bench . -benchtime 1x -benchmem -run ^$$ .
 	$(GO) run ./cmd/driverbench -corpus count=200,seed=7 -out BENCH_driver.json
 
 # bench-server drives a live rallocd closed-loop and snapshots

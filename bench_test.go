@@ -220,6 +220,7 @@ func BenchmarkDriverSuite(b *testing.B) {
 		{"jN-warm-cache", runtime.NumCPU(), true},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
+			b.ReportAllocs()
 			var cache *driver.Cache
 			if cfg.cache {
 				cache = driver.NewCache(0)
@@ -266,6 +267,7 @@ func BenchmarkInterp(b *testing.B) {
 func BenchmarkAllocateSuite(b *testing.B) {
 	for _, mode := range []core.Mode{core.ModeChaitin, core.ModeRemat} {
 		b.Run(mode.String(), func(b *testing.B) {
+			b.ReportAllocs()
 			m := target.Standard()
 			for i := 0; i < b.N; i++ {
 				for _, k := range suite.All() {

@@ -28,6 +28,24 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
+// NewSlab returns k empty sets, each with capacity for elements 0..n-1,
+// that share one backing array: two allocations however large k is.
+// Each set's words are a capacity-capped sub-slice, so no set can grow
+// into its neighbor. Solvers that need one set per block take them all
+// from one slab.
+func NewSlab(k, n int) []Set {
+	if k < 0 || n < 0 {
+		panic("bitset: negative slab size")
+	}
+	w := (n + wordBits - 1) / wordBits
+	words := make([]uint64, k*w)
+	sets := make([]Set, k)
+	for i := range sets {
+		sets[i] = Set{words: words[i*w : (i+1)*w : (i+1)*w], n: n}
+	}
+	return sets
+}
+
 // Len returns the capacity of the set (the n passed to New).
 func (s *Set) Len() int { return s.n }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/bitset"
 	"repro/internal/ig"
 	"repro/internal/liveness"
 	"repro/internal/remat"
@@ -11,16 +12,26 @@ import (
 // definition interferes with everything currently live — except that a
 // copy does not interfere with its own source, which is what lets
 // coalescing and biased coloring combine the two ends.
+//
+// The graph is the allocator's per-class graph, reset rather than
+// reallocated: every rebuild — across the coalescing fixpoints and
+// across rounds — reuses its storage.
 func (a *allocator) buildGraph(cs *classState) {
 	c := cs.c
 	n := a.rt.NumRegs(c)
-	cs.graph = ig.New(n)
-	cs.inCode = make([]bool, n)
-	cs.acrossCall = make([]bool, n)
+	if a.graphs[c] == nil {
+		a.graphs[c] = ig.New(n)
+	} else {
+		a.graphs[c].Reset(n)
+	}
+	cs.graph = a.graphs[c]
+	cs.inCode = resetBools(cs.inCode, n)
+	cs.acrossCall = resetBools(cs.acrossCall, n)
 	live := liveness.Compute(a.rt, c)
 
+	lv := bitset.New(n)
 	for _, b := range a.rt.Blocks {
-		lv := live.LiveOut[b.Index].Copy()
+		lv.CopyFrom(live.LiveOut[b.Index])
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := b.Instrs[i]
 			if in.Op.IsCall() {
@@ -54,6 +65,17 @@ func (a *allocator) buildGraph(cs *classState) {
 			}
 		}
 	}
+}
+
+// resetBools returns s resized to n and cleared, reusing its storage
+// when it is large enough.
+func resetBools(s []bool, n int) []bool {
+	if cap(s) < n {
+		return make([]bool, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // coalescePass scans for removable copies of one kind. The pipeline's

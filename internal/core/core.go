@@ -236,7 +236,10 @@ type allocator struct {
 	opts Options
 	res  *Result
 
-	classes   [iloc.NumClasses]*classState
+	classes [iloc.NumClasses]*classState
+	// graphs holds one interference graph per class for the whole
+	// allocation; buildGraph resets it instead of allocating a new one.
+	graphs    [iloc.NumClasses]*ig.Graph
 	frameBase int64 // first fp offset free for spill slots
 	nextSlot  int
 	slots     [iloc.NumClasses]map[int]int64 // live range -> fp offset

@@ -2,6 +2,7 @@ package driver
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -80,8 +81,9 @@ func TestCacheCounters(t *testing.T) {
 	if err := cold.FirstErr(); err != nil {
 		t.Fatal(err)
 	}
-	// Identical units racing may both miss (the cache is filled after
-	// allocation), but at least one allocation really ran.
+	// Identical units racing may both look up before the fill (the
+	// waiting copy's first lookup counts as a cache miss), but exactly
+	// one allocation fills the cache.
 	st := cache.Stats()
 	if st.Misses < 1 || st.Misses > 2 || st.Entries != 1 {
 		t.Fatalf("cold stats: %+v", st)
@@ -101,6 +103,35 @@ func TestCacheCounters(t *testing.T) {
 	}
 	if got := cache.Stats(); got.Hits != st.Hits+2 {
 		t.Fatalf("cache hits = %d, want %d", got.Hits, st.Hits+2)
+	}
+}
+
+// TestDuplicatesInOneBatchAllocateOnce: however many workers race on
+// identical units, one allocates and fills the cache and every other
+// copy waits for that fill and hits.
+func TestDuplicatesInOneBatchAllocateOnce(t *testing.T) {
+	k := suite.ByName("fehl")
+	var units []Unit
+	for i := 0; i < 8; i++ {
+		units = append(units, Unit{Name: fmt.Sprintf("copy%d", i), Routine: k.Routine()})
+	}
+	for _, workers := range []int{2, 4, 8} {
+		cache := NewCache(0)
+		eng := New(Config{Options: core.Options{Machine: target.WithRegs(6)}, Workers: workers, Cache: cache})
+		b := eng.Run(context.Background(), units)
+		if err := b.FirstErr(); err != nil {
+			t.Fatal(err)
+		}
+		if b.Stats.CacheMisses != 1 || b.Stats.CacheHits != len(units)-1 {
+			t.Fatalf("%d workers: %d misses, %d hits; want 1 miss and %d hits",
+				workers, b.Stats.CacheMisses, b.Stats.CacheHits, len(units)-1)
+		}
+		want := iloc.Print(b.Results[0].Result.Routine)
+		for _, r := range b.Results[1:] {
+			if got := iloc.Print(r.Result.Routine); got != want {
+				t.Fatalf("%d workers: %s differs from the allocated copy", workers, r.Name)
+			}
+		}
 	}
 }
 

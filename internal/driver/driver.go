@@ -236,6 +236,11 @@ func (e *Engine) Run(ctx context.Context, units []Unit) *Batch {
 	// is the latency from batch start to a unit's pickup by a worker.
 	depth := tel.Gauge("driver.queue.depth")
 	depth.Set(int64(len(units)))
+	// Duplicate units of one batch share a content key; the fills table
+	// lets a worker that meets a key already being allocated wait for
+	// that fill and hit, so duplicates stay free whatever the worker
+	// count.
+	fills := e.fillTableFor(units)
 	start := time.Now()
 	jobs := make(chan int)
 	var wg sync.WaitGroup
@@ -260,7 +265,7 @@ func (e *Engine) Run(ctx context.Context, units []Unit) *Batch {
 				}
 				wsink.Observe("driver.queue.wait", time.Since(start).Nanoseconds())
 				sp := wsink.StartSpan(telemetry.CatUnit, units[i].Name)
-				res, hit, tier, err := e.allocate(ctx, units[i], wsink)
+				res, hit, tier, err := e.allocate(ctx, units[i], wsink, fills)
 				if sp.Active() {
 					if hit {
 						sp.Arg("cache_hit", 1)
@@ -344,21 +349,62 @@ func (e *Engine) Run(ctx context.Context, units []Unit) *Batch {
 // a worker goroutine that panics would kill the whole process. Any panic
 // escaping a unit is recovered into a *core.AllocError so it fails that
 // unit alone.
-func (e *Engine) allocate(ctx context.Context, u Unit, wsink *telemetry.Sink) (res *core.Result, hit bool, tier string, err error) {
+func (e *Engine) allocate(ctx context.Context, u Unit, wsink *telemetry.Sink, fills *fillTable) (res *core.Result, hit bool, tier string, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, hit, tier = nil, false, ""
 			err = &core.AllocError{Routine: u.Name, Err: fmt.Errorf("driver: panic in worker: %v", r)}
 		}
 	}()
-	return e.allocateUnit(ctx, u, wsink)
+	return e.allocateUnit(ctx, u, wsink, fills)
+}
+
+// fillTable tracks the cache fills in flight within one batch, keyed by
+// content key.
+type fillTable struct {
+	mu      sync.Mutex
+	pending map[Key]chan struct{}
+}
+
+// fillTableFor returns a fill table for a batch that can hold
+// duplicates, or nil when there is no cache or only one unit.
+func (e *Engine) fillTableFor(units []Unit) *fillTable {
+	if e.cfg.Cache == nil || len(units) < 2 {
+		return nil
+	}
+	return &fillTable{}
+}
+
+// claim makes the caller the filler of key and returns a release
+// function to call once the fill is done, or, when another worker is
+// already filling key, returns the channel that closes when it is done.
+func (f *fillTable) claim(key Key) (release func(), wait <-chan struct{}) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if ch, busy := f.pending[key]; busy {
+		return nil, ch
+	}
+	if f.pending == nil {
+		f.pending = map[Key]chan struct{}{}
+	}
+	ch := make(chan struct{})
+	f.pending[key] = ch
+	return func() {
+		f.mu.Lock()
+		delete(f.pending, key)
+		f.mu.Unlock()
+		close(ch)
+	}, nil
 }
 
 // allocateUnit handles one unit: cache lookup, allocation, cache fill.
 // The worker's sink overrides the options' own so that allocator spans
 // land on the worker's trace thread; Telemetry is excluded from the
-// cache key, so this cannot split cache entries.
-func (e *Engine) allocateUnit(ctx context.Context, u Unit, wsink *telemetry.Sink) (*core.Result, bool, string, error) {
+// cache key, so this cannot split cache entries. With a fill table, a
+// miss on a key another worker is filling waits for that fill and looks
+// again; if the fill stored nothing (an error or a deadline
+// degradation), the unit allocates itself.
+func (e *Engine) allocateUnit(ctx context.Context, u Unit, wsink *telemetry.Sink, fills *fillTable) (*core.Result, bool, string, error) {
 	opts := e.cfg.Options
 	if u.Options != nil {
 		opts = *u.Options
@@ -375,15 +421,22 @@ func (e *Engine) allocateUnit(ctx context.Context, u Unit, wsink *telemetry.Sink
 		return res, false, "", err
 	}
 	key := KeyFor(u.Routine, opts)
-	var (
-		res  *core.Result
-		tier string
-		ok   bool
-	)
-	if tg, tiered := cache.(TierGetter); tiered {
-		res, tier, ok = tg.GetTier(key)
-	} else {
-		res, ok = cache.Get(key)
+	lookup := func() (*core.Result, string, bool) {
+		if tg, tiered := cache.(TierGetter); tiered {
+			return tg.GetTier(key)
+		}
+		res, ok := cache.Get(key)
+		return res, "", ok
+	}
+	res, tier, ok := lookup()
+	if !ok && fills != nil {
+		release, wait := fills.claim(key)
+		if wait != nil {
+			<-wait
+			res, tier, ok = lookup()
+		} else {
+			defer release()
+		}
 	}
 	if ok {
 		wsink.Instant(telemetry.CatCache, "hit")

@@ -30,6 +30,40 @@ func New(n int) *Graph {
 	}
 }
 
+// Reset empties the graph and resizes it to n nodes, keeping the bit
+// matrix, adjacency vectors and degree array for reuse: a reset to the
+// same or a smaller n allocates nothing. Every slice Neighbors returned
+// before the reset is overwritten by later AddEdge calls, so callers
+// must not keep one across a rebuild.
+func (g *Graph) Reset(n int) {
+	words := (n*(n-1)/2 + 63) / 64
+	if cap(g.matrix) >= words {
+		g.matrix = g.matrix[:words]
+		clear(g.matrix)
+	} else {
+		g.matrix = make([]uint64, words)
+	}
+	if cap(g.adj) >= n {
+		g.adj = g.adj[:n]
+		for i := range g.adj {
+			g.adj[i] = g.adj[i][:0]
+		}
+	} else {
+		adj := make([][]int32, n)
+		for i := range g.adj {
+			adj[i] = g.adj[i][:0]
+		}
+		g.adj = adj
+	}
+	if cap(g.degree) >= n {
+		g.degree = g.degree[:n]
+		clear(g.degree)
+	} else {
+		g.degree = make([]int32, n)
+	}
+	g.n = n
+}
+
 // Len returns the number of nodes.
 func (g *Graph) Len() int { return g.n }
 

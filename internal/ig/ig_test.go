@@ -243,3 +243,40 @@ func TestQuickMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestResetMatchesNew: a reset graph — to a smaller, equal or larger
+// node count — is indistinguishable from a fresh one, and rebuilding
+// the same edges after a reset gives the same graph again.
+func TestResetMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := New(40)
+	for _, n := range []int{40, 12, 40, 90, 1, 0, 33} {
+		g.Reset(n)
+		if g.Len() != n || g.NumEdges() != 0 {
+			t.Fatalf("Reset(%d): len %d, %d edges", n, g.Len(), g.NumEdges())
+		}
+		fresh := New(n)
+		for k := 0; k < 3*n; k++ {
+			i, j := rng.Intn(n), rng.Intn(n)
+			g.AddEdge(i, j)
+			fresh.AddEdge(i, j)
+		}
+		if n > 3 {
+			g.Merge(1, 2)
+			fresh.Merge(1, 2)
+		}
+		if g.NumEdges() != fresh.NumEdges() {
+			t.Fatalf("Reset(%d): %d edges, fresh graph %d", n, g.NumEdges(), fresh.NumEdges())
+		}
+		for i := 0; i < n; i++ {
+			if g.Degree(i) != fresh.Degree(i) || len(g.Neighbors(i)) != len(fresh.Neighbors(i)) {
+				t.Fatalf("Reset(%d): node %d degree %d, fresh %d", n, i, g.Degree(i), fresh.Degree(i))
+			}
+			for j := 0; j < n; j++ {
+				if g.Interfere(i, j) != fresh.Interfere(i, j) {
+					t.Fatalf("Reset(%d): (%d,%d) differs from a fresh graph", n, i, j)
+				}
+			}
+		}
+	}
+}

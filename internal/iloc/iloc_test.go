@@ -504,3 +504,24 @@ func TestBuilderAllHelpers(t *testing.T) {
 		t.Fatal("Block re-entry should continue the same block")
 	}
 }
+
+// TestVerifyErrorText pins the diagnostics Verify formats on the
+// failure path: the location prefix and each message are part of the
+// contract callers and logs rely on.
+func TestVerifyErrorText(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{"routine a()\nb0:\n    jmp nowhere\n",
+			`a/b0[0] "jmp nowhere": jump to unknown label "nowhere"`},
+		{"routine a()\nb0:\n    ldi r1, 1\n    br lt r1, b0, nowhere\n",
+			`a/b0[1] "br lt r1, b0, nowhere": branch to unknown label`},
+		{"routine a()\ndata t rw 2\nx:\n    rload r1, t, 0\n    retr r1\n",
+			`a/x[0] "rload r1, t, 0": rload from writable data "t"`},
+		{"routine a(r1)\nx:\n    getparam r2, 5\n    retr r2\n",
+			`a/x[0] "getparam r2, 5": parameter index 5 out of range`},
+	} {
+		err := Verify(MustParse(c.src), false)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("Verify error = %v, want %s", err, c.want)
+		}
+	}
+}

@@ -31,95 +31,94 @@ func Verify(r *Routine, allowSSA bool) error {
 	for bi, b := range r.Blocks {
 		inPhiHead := true
 		for ii, in := range b.Instrs {
-			where := fmt.Sprintf("%s/%s[%d] %q", r.Name, b.Label, ii, in)
 			if in.Op >= numOps {
-				return fmt.Errorf("%s: bad opcode", where)
+				return fmt.Errorf("%s: bad opcode", loc(r, b, ii, in))
 			}
 			if in.Op == OpPhi {
 				if !allowSSA {
-					return fmt.Errorf("%s: φ outside SSA form", where)
+					return fmt.Errorf("%s: φ outside SSA form", loc(r, b, ii, in))
 				}
 				if !inPhiHead {
-					return fmt.Errorf("%s: φ not at block head", where)
+					return fmt.Errorf("%s: φ not at block head", loc(r, b, ii, in))
 				}
 				if in.Phi == nil {
-					return fmt.Errorf("%s: φ without operands", where)
+					return fmt.Errorf("%s: φ without operands", loc(r, b, ii, in))
 				}
 				if len(b.Preds) > 0 && len(in.Phi.Args) != len(b.Preds) {
-					return fmt.Errorf("%s: φ has %d args for %d preds", where, len(in.Phi.Args), len(b.Preds))
+					return fmt.Errorf("%s: φ has %d args for %d preds", loc(r, b, ii, in), len(in.Phi.Args), len(b.Preds))
 				}
 				for _, a := range in.Phi.Args {
 					if err := checkReg(r, a, in.Dst.Class); err != nil {
-						return fmt.Errorf("%s: %w", where, err)
+						return fmt.Errorf("%s: %w", loc(r, b, ii, in), err)
 					}
 				}
 				if err := checkReg(r, in.Dst, in.Dst.Class); err != nil {
-					return fmt.Errorf("%s: %w", where, err)
+					return fmt.Errorf("%s: %w", loc(r, b, ii, in), err)
 				}
 				if in.Dst.IsFP() {
-					return fmt.Errorf("%s: φ writes fp", where)
+					return fmt.Errorf("%s: φ writes fp", loc(r, b, ii, in))
 				}
 				continue
 			}
 			inPhiHead = false
 			if in.Op.IsTerminator() && ii != len(b.Instrs)-1 {
-				return fmt.Errorf("%s: terminator not last in block", where)
+				return fmt.Errorf("%s: terminator not last in block", loc(r, b, ii, in))
 			}
 			if in.Op.HasDst() {
 				if err := checkReg(r, in.Dst, in.Op.DstClass()); err != nil {
-					return fmt.Errorf("%s: dst: %w", where, err)
+					return fmt.Errorf("%s: dst: %w", loc(r, b, ii, in), err)
 				}
 				if in.Dst.IsFP() {
-					return fmt.Errorf("%s: writes fp", where)
+					return fmt.Errorf("%s: writes fp", loc(r, b, ii, in))
 				}
 			}
 			for i := 0; i < in.Op.NSrc(); i++ {
 				if err := checkReg(r, in.Src[i], in.Op.SrcClass(i)); err != nil {
-					return fmt.Errorf("%s: src%d: %w", where, i, err)
+					return fmt.Errorf("%s: src%d: %w", loc(r, b, ii, in), i, err)
 				}
 			}
 			switch in.Op {
 			case OpJmp:
-				if r.BlockByLabel(in.Label) == nil {
-					return fmt.Errorf("%s: jump to unknown label %q", where, in.Label)
+				if !seen[in.Label] {
+					return fmt.Errorf("%s: jump to unknown label %q", loc(r, b, ii, in), in.Label)
 				}
 			case OpBr:
 				if in.Cond == CondNone {
-					return fmt.Errorf("%s: br without condition", where)
+					return fmt.Errorf("%s: br without condition", loc(r, b, ii, in))
 				}
-				if r.BlockByLabel(in.Label) == nil || r.BlockByLabel(in.Label2) == nil {
-					return fmt.Errorf("%s: branch to unknown label", where)
+				if !seen[in.Label] || !seen[in.Label2] {
+					return fmt.Errorf("%s: branch to unknown label", loc(r, b, ii, in))
 				}
 			case OpLda:
 				if r.DataByLabel(in.Label) == nil {
-					return fmt.Errorf("%s: lda of unknown data %q", where, in.Label)
+					return fmt.Errorf("%s: lda of unknown data %q", loc(r, b, ii, in), in.Label)
 				}
 			case OpRload, OpFrload:
 				d := r.DataByLabel(in.Label)
 				if d == nil {
-					return fmt.Errorf("%s: load from unknown data %q", where, in.Label)
+					return fmt.Errorf("%s: load from unknown data %q", loc(r, b, ii, in), in.Label)
 				}
 				if !d.ReadOnly {
-					return fmt.Errorf("%s: %s from writable data %q", where, in.Op, in.Label)
+					return fmt.Errorf("%s: %s from writable data %q", loc(r, b, ii, in), in.Op, in.Label)
 				}
 				if in.Imm < 0 || in.Imm/8 >= int64(d.Words) {
-					return fmt.Errorf("%s: offset %d outside %q", where, in.Imm, in.Label)
+					return fmt.Errorf("%s: offset %d outside %q", loc(r, b, ii, in), in.Imm, in.Label)
 				}
 			case OpGetparam:
 				if err := checkParamIndex(r, in.Imm, ClassInt); err != nil {
-					return fmt.Errorf("%s: %w", where, err)
+					return fmt.Errorf("%s: %w", loc(r, b, ii, in), err)
 				}
 			case OpFgetparam:
 				if err := checkParamIndex(r, in.Imm, ClassFlt); err != nil {
-					return fmt.Errorf("%s: %w", where, err)
+					return fmt.Errorf("%s: %w", loc(r, b, ii, in), err)
 				}
 			case OpSetarg, OpFsetarg, OpLdisp:
 				if in.Imm < 0 || in.Imm > 255 {
-					return fmt.Errorf("%s: slot index %d out of range", where, in.Imm)
+					return fmt.Errorf("%s: slot index %d out of range", loc(r, b, ii, in), in.Imm)
 				}
 			case OpCall:
 				if in.Label == "" {
-					return fmt.Errorf("%s: call without a target", where)
+					return fmt.Errorf("%s: call without a target", loc(r, b, ii, in))
 				}
 				// The target routine is resolved at link/execution time.
 			}
@@ -129,6 +128,13 @@ func Verify(r *Routine, allowSSA bool) error {
 		}
 	}
 	return nil
+}
+
+// loc names an instruction in a diagnostic ("routine/block[i] "instr"").
+// It runs only on the failure path: formatting it for every instruction
+// would dominate Verify's cost on valid code.
+func loc(r *Routine, b *Block, ii int, in *Instr) string {
+	return fmt.Sprintf("%s/%s[%d] %q", r.Name, b.Label, ii, in)
 }
 
 func checkReg(r *Routine, reg Reg, want Class) error {

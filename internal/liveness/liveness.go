@@ -31,18 +31,20 @@ type Info struct {
 func Compute(rt *iloc.Routine, c iloc.Class) *Info {
 	nb := len(rt.Blocks)
 	n := rt.NumRegs(c)
+	// Every set, the solver's temporary included, comes from one slab,
+	// and the four per-block vectors share one pointer array: the
+	// allocation count does not grow with the routine.
+	slab := bitset.NewSlab(4*nb+1, n)
+	ptrs := make([]*bitset.Set, 4*nb)
+	for i := range ptrs {
+		ptrs[i] = &slab[i]
+	}
 	info := &Info{
 		Class:   c,
-		LiveIn:  make([]*bitset.Set, nb),
-		LiveOut: make([]*bitset.Set, nb),
-		UEVar:   make([]*bitset.Set, nb),
-		Kill:    make([]*bitset.Set, nb),
-	}
-	for i := 0; i < nb; i++ {
-		info.LiveIn[i] = bitset.New(n)
-		info.LiveOut[i] = bitset.New(n)
-		info.UEVar[i] = bitset.New(n)
-		info.Kill[i] = bitset.New(n)
+		LiveIn:  ptrs[0*nb : 1*nb : 1*nb],
+		LiveOut: ptrs[1*nb : 2*nb : 2*nb],
+		UEVar:   ptrs[2*nb : 3*nb : 3*nb],
+		Kill:    ptrs[3*nb : 4*nb : 4*nb],
 	}
 
 	for _, b := range rt.Blocks {
@@ -65,7 +67,7 @@ func Compute(rt *iloc.Routine, c iloc.Class) *Info {
 	// Backward problem: iterate blocks in postorder (reverse RPO) until
 	// the fixpoint.
 	rpo := cfg.ReversePostorder(rt)
-	tmp := bitset.New(n)
+	tmp := &slab[4*nb]
 	for changed := true; changed; {
 		changed = false
 		for i := len(rpo) - 1; i >= 0; i-- {

@@ -35,6 +35,7 @@ import (
 	"math"
 	"strings"
 
+	"repro/internal/bitset"
 	"repro/internal/cfg"
 	"repro/internal/iloc"
 	"repro/internal/interp"
@@ -96,6 +97,18 @@ type checker struct {
 	allocated  *iloc.Routine
 	opts       Options
 	violations []Violation
+	// live caches the liveness solution per class over the CFG-built
+	// clone, so use-before-def and caller-save solve it once.
+	live [iloc.NumClasses]*liveness.Info
+}
+
+// liveness returns the liveness solution for class cl over rt, solving
+// it on first use.
+func (c *checker) liveness(rt *iloc.Routine, cl iloc.Class) *liveness.Info {
+	if c.live[cl] == nil {
+		c.live[cl] = liveness.Compute(rt, cl)
+	}
+	return c.live[cl]
 }
 
 func (c *checker) flag(rule, format string, args ...any) {
@@ -211,7 +224,7 @@ func (c *checker) checkBounds() {
 // the always-defined frame pointer.
 func (c *checker) checkUseBeforeDef(rt *iloc.Routine) {
 	for cl := iloc.Class(0); cl < iloc.NumClasses; cl++ {
-		info := liveness.Compute(rt, cl)
+		info := c.liveness(rt, cl)
 		info.LiveIn[rt.Entry().Index].ForEach(func(r int) {
 			if r != 0 {
 				c.flag("use-before-def", "register %s%d read before any definition on some path",
@@ -226,9 +239,10 @@ func (c *checker) checkUseBeforeDef(rt *iloc.Routine) {
 // across a call — the callee is free to clobber it.
 func (c *checker) checkCallerSave(rt *iloc.Routine) {
 	for cl := iloc.Class(0); cl < iloc.NumClasses; cl++ {
-		info := liveness.Compute(rt, cl)
+		info := c.liveness(rt, cl)
+		live := bitset.New(rt.NumRegs(cl))
 		for _, b := range rt.Blocks {
-			live := info.LiveOut[b.Index].Copy()
+			live.CopyFrom(info.LiveOut[b.Index])
 			for i := len(b.Instrs) - 1; i >= 0; i-- {
 				in := b.Instrs[i]
 				if in.Op.IsCall() {
@@ -438,9 +452,13 @@ func (c *checker) checkRemat() {
 // checkDifferential runs the input and the allocated routine in the
 // interpreter and compares return values and memory images. Requires a
 // self-contained routine: no parameters to fabricate, no callees to
-// resolve.
+// resolve. Each call bumps one coverage counter — checked, or skipped
+// for params, calls or an input that faults — so the metrics show how
+// often "verified" included the interpreter.
 func (c *checker) checkDifferential() {
+	tel := c.opts.Telemetry
 	if len(c.input.Params) > 0 {
+		tel.Count("verify.differential.skipped.params", 1)
 		return
 	}
 	hasCall := false
@@ -450,6 +468,7 @@ func (c *checker) checkDifferential() {
 		}
 	})
 	if hasCall {
+		tel.Count("verify.differential.skipped.calls", 1)
 		return
 	}
 
@@ -465,8 +484,10 @@ func (c *checker) checkDifferential() {
 	if err != nil {
 		// The input itself faults or exceeds the budget; there is no
 		// reference behavior to compare against.
+		tel.Count("verify.differential.skipped.input_fault", 1)
 		return
 	}
+	tel.Count("verify.differential.checked", 1)
 	got, gotEnv, err := run(c.allocated)
 	if err != nil {
 		c.flag("differential", "allocated code fails where the input succeeds: %v", err)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/iloc"
 	"repro/internal/target"
+	"repro/internal/telemetry"
 	"repro/internal/verify"
 )
 
@@ -286,5 +287,60 @@ func TestReportsAllViolations(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "violation(s)") {
 		t.Fatalf("unexpected message: %v", err)
+	}
+}
+
+// TestDifferentialCoverageCounters: every differential run bumps one
+// coverage counter on the sink — checked when the interpreter compared
+// the two routines, otherwise the reason it could not.
+func TestDifferentialCoverageCounters(t *testing.T) {
+	const withParam = `
+routine k(r1)
+entry:
+    getparam r1, 0
+    addi r2, r1, 1
+    retr r2
+`
+	const spins = `
+routine k()
+entry:
+    ldi r1, 1
+    jmp loop
+loop:
+    addi r1, r1, 1
+    jmp loop
+`
+	counters := []string{
+		"verify.differential.checked",
+		"verify.differential.skipped.params",
+		"verify.differential.skipped.calls",
+		"verify.differential.skipped.input_fault",
+	}
+	for _, tc := range []struct {
+		name, src, want string
+	}{
+		{"self-contained", selfContained, "verify.differential.checked"},
+		{"parameterized", withParam, "verify.differential.skipped.params"},
+		{"calling", acrossCall, "verify.differential.skipped.calls"},
+		{"faulting input", spins, "verify.differential.skipped.input_fault"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := target.Standard()
+			input, alloc := allocate(t, tc.src, core.Options{Machine: m, Mode: core.ModeRemat})
+			reg := telemetry.NewRegistry()
+			opts := verify.Options{Differential: true, MaxSteps: 1000, Telemetry: &telemetry.Sink{Metrics: reg}}
+			if err := verify.Check(input, alloc, m, opts); err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range counters {
+				want := int64(0)
+				if name == tc.want {
+					want = 1
+				}
+				if got := reg.Counter(name).Value(); got != want {
+					t.Errorf("%s = %d, want %d", name, got, want)
+				}
+			}
+		})
 	}
 }
