@@ -15,6 +15,9 @@ package regalloc
 //	                           reporting spill cycles as a metric
 //	BenchmarkSpillMetric/...   spill-candidate metric comparison
 //	BenchmarkAllocateSuite/... allocator throughput, both modes (§5.4)
+//	BenchmarkDriverSuite/...   driver throughput over the suite kernels
+//	BenchmarkDriverCorpus      cold, verified driver throughput over a
+//	                           generated corpus
 //	BenchmarkInterp            raw interpreter throughput
 //
 // Quality metrics (spill cycles) are attached with b.ReportMetric, so
@@ -26,6 +29,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/corpus"
 	"repro/internal/driver"
 	"repro/internal/experiments"
 	"repro/internal/suite"
@@ -244,6 +248,34 @@ func BenchmarkDriverSuite(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkDriverCorpus measures cold driver throughput over a
+// generated corpus: no cache, verification on, regs=6. The corpus
+// routines are far more numerous and varied than the suite kernels, so
+// its allocs/op and B/op show what the allocator's hot path costs on
+// unseen code.
+func BenchmarkDriverCorpus(b *testing.B) {
+	units, err := corpus.Generate(corpus.Spec{Count: 200, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var work []driver.Unit
+	for _, rt := range corpus.Routines(units) {
+		work = append(work, driver.Unit{Name: rt.Name, Routine: rt})
+	}
+	opts := core.Options{Machine: target.WithRegs(6), Mode: core.ModeRemat, Verify: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var st driver.Stats
+	for i := 0; i < b.N; i++ {
+		batch := driver.New(driver.Config{Options: opts}).Run(context.Background(), work)
+		if err := batch.FirstErr(); err != nil {
+			b.Fatal(err)
+		}
+		st = batch.Stats
+	}
+	b.ReportMetric(float64(st.Routines)/st.Wall.Seconds(), "routines/sec")
 }
 
 // BenchmarkInterp measures raw interpreter throughput on the largest

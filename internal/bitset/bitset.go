@@ -28,22 +28,41 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
-// NewSlab returns k empty sets, each with capacity for elements 0..n-1,
-// that share one backing array: two allocations however large k is.
-// Each set's words are a capacity-capped sub-slice, so no set can grow
-// into its neighbor. Solvers that need one set per block take them all
-// from one slab.
-func NewSlab(k, n int) []Set {
+// Slab hands out sets that share one backing array. Solvers that need
+// one set per block take them all from one slab, and a solver that runs
+// again keeps its slab: Reset reuses the backing words and the Set
+// headers whenever they are large enough. The zero value is ready to
+// use.
+type Slab struct {
+	words []uint64
+	sets  []Set
+}
+
+// Reset returns k empty sets, each with capacity for elements 0..n-1.
+// Each set's words are a capacity-capped sub-slice of the slab, so no
+// set can grow into its neighbor. The sets stay valid until the next
+// Reset, which overwrites them. Only the words handed out are cleared,
+// and a reset to the same or a smaller shape allocates nothing.
+func (s *Slab) Reset(k, n int) []Set {
 	if k < 0 || n < 0 {
 		panic("bitset: negative slab size")
 	}
 	w := (n + wordBits - 1) / wordBits
-	words := make([]uint64, k*w)
-	sets := make([]Set, k)
-	for i := range sets {
-		sets[i] = Set{words: words[i*w : (i+1)*w : (i+1)*w], n: n}
+	if cap(s.words) >= k*w {
+		s.words = s.words[:k*w]
+		clear(s.words)
+	} else {
+		s.words = make([]uint64, k*w)
 	}
-	return sets
+	if cap(s.sets) >= k {
+		s.sets = s.sets[:k]
+	} else {
+		s.sets = make([]Set, k)
+	}
+	for i := range s.sets {
+		s.sets[i] = Set{words: s.words[i*w : (i+1)*w : (i+1)*w], n: n}
+	}
+	return s.sets
 }
 
 // Len returns the capacity of the set (the n passed to New).

@@ -452,9 +452,29 @@ func batchOwners(t *testing.T, c *testCluster, n int) []string {
 	return owners
 }
 
+// maxScatterBatch bounds scatterBatchSize's search.
+const maxScatterBatch = 32
+
+// scatterBatchSize returns the smallest batch size from n up to
+// maxScatterBatch whose units map to at least two ring owners. The ring
+// places backends by their random test ports, so a small batch can land
+// on one owner by chance; growing it one unit at a time keeps the
+// scatter path exercised without depending on the ports. Only a batch
+// of maxScatterBatch units that still maps to one owner fails.
+func scatterBatchSize(t *testing.T, c *testCluster, n int) int {
+	t.Helper()
+	for ; n <= maxScatterBatch; n++ {
+		if len(batchOwners(t, c, n)) >= 2 {
+			return n
+		}
+	}
+	t.Fatalf("batch of %d units maps to 1 owner; the scatter path needs >= 2", maxScatterBatch)
+	return 0
+}
+
 func TestProxyBatchScatterMerge(t *testing.T) {
-	const n = 9
 	c := newTestCluster(t, 3, nil)
+	n := scatterBatchSize(t, c, 9)
 	owners := batchOwners(t, c, n)
 	if len(owners) < 2 {
 		t.Fatalf("batch of %d units maps to %d owner(s); the scatter path needs >= 2", n, len(owners))
@@ -499,8 +519,8 @@ func TestProxyBatchScatterMerge(t *testing.T) {
 // byte-identical to a single-node run, with zero duplicated or lost
 // units.
 func TestProxyBatchFailoverByteIdentity(t *testing.T) {
-	const n = 9
 	c := newTestCluster(t, 3, nil)
+	n := scatterBatchSize(t, c, 9)
 	owners := batchOwners(t, c, n)
 	if len(owners) < 2 {
 		t.Fatalf("batch maps to %d owner(s); need a real scatter", len(owners))

@@ -10,12 +10,14 @@ import (
 )
 
 // fig1AllocCeiling bounds the heap allocations of one verified remat
-// allocation of Figure 1 on a 3-register machine: about 700 with go1.24,
-// where the allocator made about 2600 before its hot path reused its
+// allocation of Figure 1 on a 3-register machine: about 440 with go1.24.
+// The allocator made about 2600 before its hot path reused its
 // interference graphs, took liveness sets from one slab and formatted
-// verifier diagnostics only on failure. A change that brings
-// per-instruction or per-block allocation back trips this ceiling.
-const fig1AllocCeiling = 800
+// verifier diagnostics only on failure, and about 700 before liveness,
+// SSA, graph and cost storage moved into the pooled workspace. A change
+// that brings per-instruction, per-block or per-round allocation back
+// trips this ceiling.
+const fig1AllocCeiling = 520
 
 // TestFigure1AllocCeiling holds one verified allocation of Figure 1
 // under a committed allocation budget.

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"repro/internal/bitset"
-	"repro/internal/ig"
-	"repro/internal/liveness"
 	"repro/internal/remat"
 )
 
@@ -13,23 +10,22 @@ import (
 // copy does not interfere with its own source, which is what lets
 // coalescing and biased coloring combine the two ends.
 //
-// The graph is the allocator's per-class graph, reset rather than
-// reallocated: every rebuild — across the coalescing fixpoints and
-// across rounds — reuses its storage.
+// The graph, the inCode/acrossCall vectors, the liveness solution and
+// the walk's live set all live in the workspace, reset rather than
+// reallocated: every rebuild — across the coalescing fixpoints, rounds
+// and routines — reuses their storage.
 func (a *allocator) buildGraph(cs *classState) {
 	c := cs.c
 	n := a.rt.NumRegs(c)
-	if a.graphs[c] == nil {
-		a.graphs[c] = ig.New(n)
-	} else {
-		a.graphs[c].Reset(n)
-	}
-	cs.graph = a.graphs[c]
-	cs.inCode = resetBools(cs.inCode, n)
-	cs.acrossCall = resetBools(cs.acrossCall, n)
-	live := liveness.Compute(a.rt, c)
+	sc := &a.ws.classes[c]
+	sc.graph.Reset(n)
+	cs.graph = &sc.graph
+	sc.inCode = zeroed(sc.inCode, n)
+	sc.acrossCall = zeroed(sc.acrossCall, n)
+	cs.inCode, cs.acrossCall = sc.inCode, sc.acrossCall
+	live := sc.live.Compute(a.rt, c)
 
-	lv := bitset.New(n)
+	lv := &a.ws.live.Reset(1, n)[0]
 	for _, b := range a.rt.Blocks {
 		lv.CopyFrom(live.LiveOut[b.Index])
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
@@ -65,17 +61,6 @@ func (a *allocator) buildGraph(cs *classState) {
 			}
 		}
 	}
-}
-
-// resetBools returns s resized to n and cleared, reusing its storage
-// when it is large enough.
-func resetBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
 }
 
 // coalescePass scans for removable copies of one kind. The pipeline's

@@ -237,9 +237,9 @@ type allocator struct {
 	res  *Result
 
 	classes [iloc.NumClasses]*classState
-	// graphs holds one interference graph per class for the whole
-	// allocation; buildGraph resets it instead of allocating a new one.
-	graphs    [iloc.NumClasses]*ig.Graph
+	// ws holds the per-round scratch storage (workspace.go): liveness,
+	// SSA, the interference graphs and the classState vectors.
+	ws        *workspace
 	frameBase int64 // first fp offset free for spill slots
 	nextSlot  int
 	slots     [iloc.NumClasses]map[int]int64 // live range -> fp offset
@@ -388,10 +388,19 @@ func runStrategy(ctx context.Context, rt *iloc.Routine, opts Options, strat *Str
 	return res, nil
 }
 
-// allocate runs the iterated build–color–spill pipeline with panic
-// containment: any panic escaping a pass (or the loop scaffolding)
-// surfaces as an *AllocError instead of unwinding into the caller.
-func allocate(ctx context.Context, rt *iloc.Routine, opts Options) (res *Result, err error) {
+// allocate runs the iterated build–color–spill pipeline on a workspace
+// from the pool, putting it back on every exit.
+func allocate(ctx context.Context, rt *iloc.Routine, opts Options) (*Result, error) {
+	ws := workspaces.Get().(*workspace)
+	defer workspaces.Put(ws)
+	return allocateIn(ctx, rt, opts, ws)
+}
+
+// allocateIn runs the iterated build–color–spill pipeline on workspace
+// ws with panic containment: any panic escaping a pass (or the loop
+// scaffolding) surfaces as an *AllocError instead of unwinding into the
+// caller.
+func allocateIn(ctx context.Context, rt *iloc.Routine, opts Options, ws *workspace) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, recovered(rt.Name, "", 0, r)
@@ -402,6 +411,7 @@ func allocate(ctx context.Context, rt *iloc.Routine, opts Options) (res *Result,
 		rt:   rt.Clone(),
 		opts: opts,
 		res:  &Result{Mode: opts.Mode, Machine: opts.Machine},
+		ws:   ws,
 	}
 	for c := range a.slots {
 		a.slots[c] = make(map[int]int64)

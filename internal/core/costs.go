@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/iloc"
 )
@@ -27,8 +28,10 @@ func pow10(d int) float64 {
 func (a *allocator) computeCosts(cs *classState) {
 	c := cs.c
 	n := a.rt.NumRegs(c)
-	cs.cost = make([]float64, n)
-	cs.mustNot = make([]bool, n)
+	sc := &a.ws.classes[c]
+	sc.cost = zeroed(sc.cost, n)
+	sc.mustNot = zeroed(sc.mustNot, n)
+	cs.cost, cs.mustNot = sc.cost, sc.mustNot
 	m := a.opts.Machine
 
 	loadCost := float64(m.MemCycles)
@@ -42,21 +45,21 @@ func (a *allocator) computeCosts(cs *classState) {
 	// extra uses and stays spillable; marking it unspillable would let
 	// the infinite cost infect the merged range and leave the colorer
 	// facing unresolvable pressure (found by the random-program tests).
-	spillDefs := make([]int, n)
-	realDefs := make([]int, n)
-	useInstrs := make([]int, n)
+	sc.spillDefs = zeroed(sc.spillDefs, n)
+	sc.realDefs = zeroed(sc.realDefs, n)
+	sc.useInstrs = zeroed(sc.useInstrs, n)
+	spillDefs, realDefs, useInstrs := sc.spillDefs, sc.realDefs, sc.useInstrs
 
 	for _, b := range a.rt.Blocks {
 		w := pow10(b.Depth)
 		for _, in := range b.Instrs {
-			counted := map[int]bool{}
-			for _, u := range in.Uses() {
+			uses := in.Uses()
+			for i, u := range uses {
 				if u.Class != c || u.N == 0 {
 					continue
 				}
-				if !counted[u.N] {
-					counted[u.N] = true
-					useInstrs[u.N]++
+				if !slices.Contains(uses[:i], u) {
+					useInstrs[u.N]++ // once per instruction
 				}
 				t := cs.tags[u.N]
 				if t.Rematerializable() {
@@ -92,11 +95,8 @@ func (a *allocator) computeCosts(cs *classState) {
 	// only use immediately follows it gains nothing from spilling — the
 	// reload would sit exactly where the value already is. Give it
 	// infinite cost so simplify never chooses it.
-	type refs struct {
-		defs, uses int
-		adjacent   bool
-	}
-	seen := make([]refs, n)
+	sc.refs = zeroed(sc.refs, n)
+	seen := sc.refs
 	for _, b := range a.rt.Blocks {
 		for i, in := range b.Instrs {
 			for _, u := range in.Uses() {
@@ -126,6 +126,13 @@ func (a *allocator) computeCosts(cs *classState) {
 			cs.cost[i] = math.Inf(1)
 		}
 	}
+}
+
+// costRefs counts one live range's references for Chaitin's adjacency
+// rule in computeCosts.
+type costRefs struct {
+	defs, uses int
+	adjacent   bool
 }
 
 // findPartners records, for biased coloring, the ranges connected by the

@@ -193,15 +193,18 @@ var passCoalesceConservative = &Pass{
 	run: func(a *allocator, _ *roundCtx, st *IterationStats, ps *PassStat) error {
 		// Conservative coalescing of split copies (§4.2's second round):
 		// a split merges only when the combined range provably still
-		// simplifies.
+		// simplifies. The first scan reads the graph the coalesce
+		// fixpoint left current — its last scan removed nothing, so the
+		// code has not changed since that graph was built — and the
+		// graph is rebuilt only after a scan that removed copies.
 		for _, cs := range a.classes {
 			for {
-				a.buildGraph(cs)
 				m := a.coalescePass(cs, true)
 				ps.Coalesced += m
 				if m == 0 {
 					break
 				}
+				a.buildGraph(cs)
 			}
 		}
 		st.Coalesced += ps.Coalesced
@@ -338,7 +341,7 @@ var passSpillInsert = &Pass{
 // round is wrapped in an iteration span. With no sink installed the
 // spans are zero-allocation no-ops that still read the clock.
 func (a *allocator) round() (IterationStats, bool, error) {
-	var st IterationStats
+	st := IterationStats{Passes: make([]PassStat, 0, len(allocPipeline))}
 	ctx := &roundCtx{}
 	tel := a.opts.Telemetry
 	iterSpan := tel.StartSpan(telemetry.CatIteration, "iteration")

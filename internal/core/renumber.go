@@ -27,14 +27,16 @@ import (
 // computed afterwards by his whole-range rule.
 func (a *allocator) renumber(tree *dom.Tree, loops []*cfg.Loop) (splits int, err error) {
 	// Liveness for both classes must precede SSA construction (the
-	// liveness solver rejects φ-nodes).
+	// liveness solver rejects φ-nodes). Each class solves and builds on
+	// its own workspace solver and builder, so solving one class never
+	// overwrites the other's solution before its SSA build.
 	var lives [iloc.NumClasses]*liveness.Info
 	for c := iloc.Class(0); c < iloc.NumClasses; c++ {
-		lives[c] = liveness.Compute(a.rt, c)
+		lives[c] = a.ws.classes[c].live.Compute(a.rt, c)
 	}
 	var graphs [iloc.NumClasses]*ssa.Graph
 	for c := iloc.Class(0); c < iloc.NumClasses; c++ {
-		g, err := ssa.Build(a.rt, c, tree, lives[c])
+		g, err := a.ws.classes[c].ssa.Build(a.rt, c, tree, lives[c])
 		if err != nil {
 			return 0, fmt.Errorf("core: renumber: %w", err)
 		}

@@ -35,7 +35,15 @@ import (
 // Scratch registers are colors 1 and 2 of each bank, dead between
 // instructions, so nothing is live across a call and the caller-save
 // discipline holds trivially.
-func ssaSpill(input *iloc.Routine, opts Options) (res *Result, err error) {
+func ssaSpill(input *iloc.Routine, opts Options) (*Result, error) {
+	ws := workspaces.Get().(*workspace)
+	defer workspaces.Put(ws)
+	return ssaSpillIn(input, opts, ws)
+}
+
+// ssaSpillIn is ssaSpill on workspace ws: liveness and SSA construction
+// run on its per-class solvers and builders.
+func ssaSpillIn(input *iloc.Routine, opts Options, ws *workspace) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, recovered(input.Name, "ssa-spill", 0, r)
@@ -59,11 +67,11 @@ func ssaSpill(input *iloc.Routine, opts Options) (res *Result, err error) {
 	// solver rejects φ-nodes), then each class converts to pruned SSA.
 	var lives [iloc.NumClasses]*liveness.Info
 	for c := iloc.Class(0); c < iloc.NumClasses; c++ {
-		lives[c] = liveness.Compute(rt, c)
+		lives[c] = ws.classes[c].live.Compute(rt, c)
 	}
 	var graphs [iloc.NumClasses]*ssa.Graph
 	for c := iloc.Class(0); c < iloc.NumClasses; c++ {
-		g, err := ssa.Build(rt, c, tree, lives[c])
+		g, err := ws.classes[c].ssa.Build(rt, c, tree, lives[c])
 		if err != nil {
 			return nil, fmt.Errorf("core: ssa-spill: %w", err)
 		}

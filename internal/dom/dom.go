@@ -172,8 +172,23 @@ func (t *Tree) Dominates(a, b int) bool {
 // al.: DF(b) contains each join point j with a predecessor dominated by b
 // while b does not strictly dominate j.
 func Frontiers(t *Tree, rt *iloc.Routine) [][]int {
+	return FrontiersInto(nil, t, rt)
+}
+
+// FrontiersInto computes the same frontiers as Frontiers into df,
+// reusing its outer slice and every per-block slice: a builder that
+// keeps df across routines of the same shape allocates nothing here.
+func FrontiersInto(df [][]int, t *Tree, rt *iloc.Routine) [][]int {
 	n := len(rt.Blocks)
-	df := make([][]int, n)
+	if cap(df) < n {
+		grown := make([][]int, n)
+		copy(grown, df[:cap(df)])
+		df = grown
+	}
+	df = df[:n]
+	for i := range df {
+		df[i] = df[i][:0]
+	}
 	add := func(b, j int) {
 		for _, x := range df[b] {
 			if x == j {

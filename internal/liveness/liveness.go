@@ -27,19 +27,44 @@ type Info struct {
 
 // Compute solves liveness for class c. CFG edges must be built, and the
 // code must not contain φ-nodes (renumber removes them before liveness is
-// next needed).
+// next needed). It is new(Solver).Compute: nothing is kept between calls.
 func Compute(rt *iloc.Routine, c iloc.Class) *Info {
+	return new(Solver).Compute(rt, c)
+}
+
+// Solver solves liveness repeatedly on one set of storage: its slab of
+// bit sets, the pointer array behind the Info vectors, and the Info
+// itself. The zero value is ready to use. A Solver is not safe for
+// concurrent use.
+type Solver struct {
+	slab bitset.Slab
+	ptrs []*bitset.Set
+	info Info
+}
+
+// Compute solves liveness for class c exactly as the package-level
+// Compute does. The result is valid until the solver's next Compute,
+// which overwrites it; every table is reset first, so a call abandoned
+// by a panic leaves nothing behind.
+func (s *Solver) Compute(rt *iloc.Routine, c iloc.Class) *Info {
 	nb := len(rt.Blocks)
 	n := rt.NumRegs(c)
 	// Every set, the solver's temporary included, comes from one slab,
 	// and the four per-block vectors share one pointer array: the
-	// allocation count does not grow with the routine.
-	slab := bitset.NewSlab(4*nb+1, n)
-	ptrs := make([]*bitset.Set, 4*nb)
+	// allocation count does not grow with the routine, and a solver
+	// that has seen a routine this large allocates neither again.
+	slab := s.slab.Reset(4*nb+1, n)
+	if cap(s.ptrs) >= 4*nb {
+		s.ptrs = s.ptrs[:4*nb]
+	} else {
+		s.ptrs = make([]*bitset.Set, 4*nb)
+	}
+	ptrs := s.ptrs
 	for i := range ptrs {
 		ptrs[i] = &slab[i]
 	}
-	info := &Info{
+	info := &s.info
+	*info = Info{
 		Class:   c,
 		LiveIn:  ptrs[0*nb : 1*nb : 1*nb],
 		LiveOut: ptrs[1*nb : 2*nb : 2*nb],
