@@ -45,3 +45,25 @@ func TestVerifyAllocsOnlyLabelSet(t *testing.T) {
 		}
 	}
 }
+
+// TestCloneAllocsDoNotGrow: a clone takes its instructions, blocks and
+// edges from a fixed number of arenas, so a 64-block routine costs as
+// many heap allocations to copy as a 4-block one.
+func TestCloneAllocsDoNotGrow(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	counts := map[int]float64{}
+	for _, n := range []int{4, 64} {
+		rt := MustParse(chainSrc(n))
+		for i, b := range rt.Blocks[:n-1] {
+			next := rt.Blocks[i+1]
+			b.Succs = append(b.Succs, next)
+			next.Preds = append(next.Preds, b)
+		}
+		counts[n] = testing.AllocsPerRun(100, func() { _ = rt.Clone() })
+	}
+	if counts[64] != counts[4] {
+		t.Errorf("Clone allocates %.0f times for 4 blocks, %.0f for 64", counts[4], counts[64])
+	}
+}

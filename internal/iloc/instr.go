@@ -95,11 +95,18 @@ func (in *Instr) Def() Reg {
 
 // Clone returns a deep copy of the instruction.
 func (in *Instr) Clone() *Instr {
-	c := *in
-	if in.Phi != nil {
-		c.Phi = &Phi{Args: append([]Reg(nil), in.Phi.Args...)}
+	c := new(Instr)
+	c.copyFrom(in)
+	return c
+}
+
+// copyFrom makes in a deep copy of src: the φ argument list, the only
+// storage an instruction does not hold by value, is copied too.
+func (in *Instr) copyFrom(src *Instr) {
+	*in = *src
+	if src.Phi != nil {
+		in.Phi = &Phi{Args: append([]Reg(nil), src.Phi.Args...)}
 	}
-	return &c
 }
 
 // String renders the instruction in the canonical assembly syntax used by

@@ -167,6 +167,14 @@ func (r *Routine) ForEachInstr(f func(b *Block, i int, in *Instr)) {
 // Clone returns a deep copy of the routine (blocks, instructions, data).
 // CFG edges are remapped into the clone; analysis results such as Depth
 // are preserved.
+//
+// The copy is laid out in a few arenas rather than one heap object per
+// instruction and block: all instructions in one []Instr, the blocks'
+// instruction lists as sub-slices of one []*Instr, the blocks in one
+// []Block and their edges in one []*Block. Every per-block slice is
+// capacity-capped, so InsertBefore or append on one block reallocates
+// that block's list and never writes into its neighbour's. φ argument
+// lists keep their own allocation.
 func (r *Routine) Clone() *Routine {
 	c := &Routine{
 		Name:       r.Name,
@@ -177,30 +185,97 @@ func (r *Routine) Clone() *Routine {
 		CallerSave: r.CallerSave,
 	}
 	c.Data = make([]Data, len(r.Data))
+	words := 0
+	for _, d := range r.Data {
+		words += len(d.Init)
+	}
+	init := make([]float64, words)
 	for i, d := range r.Data {
 		c.Data[i] = d
-		c.Data[i].Init = append([]float64(nil), d.Init...)
-	}
-	old2new := make(map[*Block]*Block, len(r.Blocks))
-	for _, b := range r.Blocks {
-		nb := &Block{Index: b.Index, Label: b.Label, Depth: b.Depth}
-		nb.Instrs = make([]*Instr, len(b.Instrs))
-		for i, in := range b.Instrs {
-			nb.Instrs[i] = in.Clone()
-		}
-		c.Blocks = append(c.Blocks, nb)
-		old2new[b] = nb
-	}
-	for _, b := range r.Blocks {
-		nb := old2new[b]
-		for _, s := range b.Succs {
-			nb.Succs = append(nb.Succs, old2new[s])
-		}
-		for _, p := range b.Preds {
-			nb.Preds = append(nb.Preds, old2new[p])
+		c.Data[i].Init = nil
+		if n := len(d.Init); n > 0 {
+			c.Data[i].Init = init[:n:n]
+			copy(init, d.Init)
+			init = init[n:]
 		}
 	}
+	instrs := make([]Instr, r.NumInstrs())
+	ptrs := make([]*Instr, len(instrs))
+	for i := range instrs {
+		ptrs[i] = &instrs[i]
+	}
+	c.Blocks = r.copyBlocks(func(old []*Instr) []*Instr {
+		n := len(old)
+		own := ptrs[:n:n]
+		for i, in := range old {
+			own[i].copyFrom(in)
+		}
+		ptrs = ptrs[n:]
+		return own
+	})
 	return c
+}
+
+// View returns a routine whose blocks are fresh headers — own Index,
+// Label, Depth and CFG edges — over r's instructions, shared read-only.
+// Rebuilding the view's CFG (cfg.Build, which may prune blocks and
+// reindex) leaves r's blocks, edges and indices untouched; a caller
+// must not modify an instruction through the view. Params and Data are
+// shared too.
+func (r *Routine) View() *Routine {
+	v := *r
+	v.Blocks = r.copyBlocks(func(old []*Instr) []*Instr { return old[:len(old):len(old)] })
+	return &v
+}
+
+// copyBlocks copies r's block headers into one []Block, taking each
+// block's instruction list from instrs, and remaps the CFG edges into
+// the copy from one capped edge array. An edge target is found by its
+// Index; only when Index is stale (the block at that position is not
+// the target) is a block-to-copy map built.
+func (r *Routine) copyBlocks(instrs func([]*Instr) []*Instr) []*Block {
+	blocks := make([]Block, len(r.Blocks))
+	out := make([]*Block, len(r.Blocks))
+	nedges := 0
+	for i, b := range r.Blocks {
+		blocks[i] = Block{Index: b.Index, Label: b.Label, Depth: b.Depth, Instrs: instrs(b.Instrs)}
+		out[i] = &blocks[i]
+		nedges += len(b.Succs) + len(b.Preds)
+	}
+	if nedges == 0 {
+		return out
+	}
+	var old2new map[*Block]*Block
+	remap := func(b *Block) *Block {
+		if i := b.Index; i >= 0 && i < len(r.Blocks) && r.Blocks[i] == b {
+			return out[i]
+		}
+		if old2new == nil {
+			old2new = make(map[*Block]*Block, len(r.Blocks))
+			for i, ob := range r.Blocks {
+				old2new[ob] = out[i]
+			}
+		}
+		return old2new[b]
+	}
+	edges := make([]*Block, nedges)
+	take := func(old []*Block) []*Block {
+		n := len(old)
+		if n == 0 {
+			return nil
+		}
+		own := edges[:n:n]
+		for i, b := range old {
+			own[i] = remap(b)
+		}
+		edges = edges[n:]
+		return own
+	}
+	for i, b := range r.Blocks {
+		out[i].Succs = take(b.Succs)
+		out[i].Preds = take(b.Preds)
+	}
+	return out
 }
 
 // freshLabel returns a label not used by any block, derived from base.
