@@ -13,19 +13,35 @@ import (
 // Build computes Succs/Preds for every block from terminators and
 // fall-through, and removes unreachable blocks. Blocks without a
 // terminator fall through to the next block in Routine.Blocks order.
+//
+// Edge lists keep their storage from an earlier Build when it is large
+// enough; the blocks whose lists are too small share one new array, cut
+// into capacity-capped runs, so a first Build allocates a fixed number
+// of times rather than per block.
 func Build(rt *iloc.Routine) error {
+	rt.Reindex()
+	// A block names at most two successors.
+	short := 0
 	for _, b := range rt.Blocks {
-		b.Succs = b.Succs[:0]
-		b.Preds = b.Preds[:0]
+		if cap(b.Succs) < 2 {
+			short++
+		}
 	}
-	addEdge := func(from, to *iloc.Block) {
+	spare := make([]*iloc.Block, 2*short)
+	for _, b := range rt.Blocks {
+		if cap(b.Succs) < 2 {
+			b.Succs, spare = spare[:0:2], spare[2:]
+		} else {
+			b.Succs = b.Succs[:0]
+		}
+	}
+	addSucc := func(from, to *iloc.Block) {
 		for _, s := range from.Succs {
 			if s == to {
 				return // collapse duplicate edges (br cond r, L, L)
 			}
 		}
 		from.Succs = append(from.Succs, to)
-		to.Preds = append(to.Preds, from)
 	}
 	for i, b := range rt.Blocks {
 		t := b.Terminator()
@@ -33,7 +49,7 @@ func Build(rt *iloc.Routine) error {
 			if i+1 >= len(rt.Blocks) {
 				return fmt.Errorf("cfg: final block %s has no terminator", b.Label)
 			}
-			addEdge(b, rt.Blocks[i+1])
+			addSucc(b, rt.Blocks[i+1])
 			continue
 		}
 		switch t.Op {
@@ -42,41 +58,61 @@ func Build(rt *iloc.Routine) error {
 			if to == nil {
 				return fmt.Errorf("cfg: jmp to unknown label %q", t.Label)
 			}
-			addEdge(b, to)
+			addSucc(b, to)
 		case iloc.OpBr:
 			to1, to2 := rt.BlockByLabel(t.Label), rt.BlockByLabel(t.Label2)
 			if to1 == nil || to2 == nil {
 				return fmt.Errorf("cfg: br to unknown label in %s", b.Label)
 			}
-			addEdge(b, to1)
-			addEdge(b, to2)
+			addSucc(b, to1)
+			addSucc(b, to2)
 		default: // ret/retr/retf: no successors
 		}
 	}
-	pruneUnreachable(rt)
+
+	// Predecessors, in the order the edges were added: count them, give
+	// the blocks without room runs of one array, then fill.
+	count := make([]int, len(rt.Blocks))
+	for _, b := range rt.Blocks {
+		for _, s := range b.Succs {
+			count[s.Index]++
+		}
+	}
+	need := 0
+	for _, b := range rt.Blocks {
+		if cap(b.Preds) < count[b.Index] {
+			need += count[b.Index]
+		}
+	}
+	spare = make([]*iloc.Block, need)
+	for _, b := range rt.Blocks {
+		if n := count[b.Index]; cap(b.Preds) < n {
+			b.Preds, spare = spare[:0:n], spare[n:]
+		} else {
+			b.Preds = b.Preds[:0]
+		}
+	}
+	for _, b := range rt.Blocks {
+		for _, s := range b.Succs {
+			s.Preds = append(s.Preds, b)
+		}
+	}
+	pruneUnreachable(rt, count)
 	rt.Reindex()
 	return nil
 }
 
-func pruneUnreachable(rt *iloc.Routine) {
-	reach := make(map[*iloc.Block]bool, len(rt.Blocks))
-	var walk func(b *iloc.Block)
-	walk = func(b *iloc.Block) {
-		if reach[b] {
-			return
-		}
-		reach[b] = true
-		for _, s := range b.Succs {
-			walk(s)
-		}
-	}
-	walk(rt.Entry())
-	if len(reach) == len(rt.Blocks) {
+// pruneUnreachable drops the blocks the entry cannot reach, and their
+// edges into reachable blocks. Block indices must be current; reach,
+// one entry per block, is scratch for the reachability marks.
+func pruneUnreachable(rt *iloc.Routine, reach []int) {
+	clear(reach)
+	if markReachable(rt.Entry(), reach) == len(rt.Blocks) {
 		return
 	}
 	kept := rt.Blocks[:0]
 	for _, b := range rt.Blocks {
-		if reach[b] {
+		if reach[b.Index] != 0 {
 			kept = append(kept, b)
 		}
 	}
@@ -85,7 +121,7 @@ func pruneUnreachable(rt *iloc.Routine) {
 	for _, b := range rt.Blocks {
 		preds := b.Preds[:0]
 		for _, p := range b.Preds {
-			if reach[p] {
+			if reach[p.Index] != 0 {
 				preds = append(preds, p)
 			}
 		}
@@ -93,27 +129,59 @@ func pruneUnreachable(rt *iloc.Routine) {
 	}
 }
 
+// markReachable marks every block reachable from b and returns how
+// many it newly marked.
+func markReachable(b *iloc.Block, reach []int) int {
+	reach[b.Index] = 1
+	n := 1
+	for _, s := range b.Succs {
+		if reach[s.Index] == 0 {
+			n += markReachable(s, reach)
+		}
+	}
+	return n
+}
+
 // ReversePostorder returns the blocks in reverse postorder of a DFS from
 // the entry. Every block is reachable after Build, so the result covers
 // the whole routine.
 func ReversePostorder(rt *iloc.Routine) []*iloc.Block {
-	seen := make([]bool, len(rt.Blocks))
-	post := make([]*iloc.Block, 0, len(rt.Blocks))
-	var dfs func(b *iloc.Block)
-	dfs = func(b *iloc.Block) {
-		seen[b.Index] = true
-		for _, s := range b.Succs {
-			if !seen[s.Index] {
-				dfs(s)
-			}
+	rpo, _ := ReversePostorderInto(nil, nil, rt)
+	return rpo
+}
+
+// ReversePostorderInto computes the same order as ReversePostorder into
+// rpo's storage, with seen as the walk's visited marks. It returns both,
+// grown if they were too small, for the next call: a caller that keeps
+// them across routines of the same size allocates nothing here.
+func ReversePostorderInto(rpo []*iloc.Block, seen []bool, rt *iloc.Routine) ([]*iloc.Block, []bool) {
+	n := len(rt.Blocks)
+	if cap(seen) < n {
+		seen = make([]bool, n)
+	} else {
+		seen = seen[:n]
+		clear(seen)
+	}
+	if cap(rpo) < n {
+		rpo = make([]*iloc.Block, 0, n)
+	}
+	rpo = postorder(rt.Entry(), seen, rpo[:0])
+	for i, j := 0, len(rpo)-1; i < j; i, j = i+1, j-1 {
+		rpo[i], rpo[j] = rpo[j], rpo[i]
+	}
+	return rpo, seen
+}
+
+// postorder appends the blocks reachable from b, unmarked in seen, to
+// post in DFS postorder.
+func postorder(b *iloc.Block, seen []bool, post []*iloc.Block) []*iloc.Block {
+	seen[b.Index] = true
+	for _, s := range b.Succs {
+		if !seen[s.Index] {
+			post = postorder(s, seen, post)
 		}
-		post = append(post, b)
 	}
-	dfs(rt.Entry())
-	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-		post[i], post[j] = post[j], post[i]
-	}
-	return post
+	return append(post, b)
 }
 
 // SplitCriticalEdges inserts an empty jmp-block on every edge whose source

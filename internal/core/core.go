@@ -244,6 +244,9 @@ type allocator struct {
 	nextSlot  int
 	slots     [iloc.NumClasses]map[int]int64 // live range -> fp offset
 	roundNo   int                            // current pipeline round (0-based)
+	// stats and roundCtx are the current round's (round()).
+	stats    IterationStats
+	roundCtx roundCtx
 }
 
 // Allocate maps the routine's virtual registers onto the machine. The

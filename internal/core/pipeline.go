@@ -120,17 +120,15 @@ var passCFA = &Pass{
 	name:  "cfa",
 	times: func(t *PhaseTimes) *time.Duration { return &t.CFA },
 	run: func(a *allocator, ctx *roundCtx, _ *IterationStats, _ *PassStat) error {
+		// One CFG build per round: SplitCriticalEdges rebuilds only
+		// when it splits, and the analysis runs on the built CFG.
 		if err := cfg.Build(a.rt); err != nil {
 			return err
 		}
 		if _, err := cfg.SplitCriticalEdges(a.rt); err != nil {
 			return err
 		}
-		tree, loops, err := cfg.Analyze(a.rt)
-		if err != nil {
-			return err
-		}
-		ctx.tree, ctx.loops = tree, loops
+		ctx.tree, ctx.loops = cfg.AnalyzeInto(&a.ws.tree, &a.ws.loops, a.rt)
 		return nil
 	},
 }
@@ -341,38 +339,44 @@ var passSpillInsert = &Pass{
 // round is wrapped in an iteration span. With no sink installed the
 // spans are zero-allocation no-ops that still read the clock.
 func (a *allocator) round() (IterationStats, bool, error) {
-	st := IterationStats{Passes: make([]PassStat, 0, len(allocPipeline))}
-	ctx := &roundCtx{}
+	// The round's stats and context live in the allocator, which the
+	// passes already reach, rather than in heap objects of their own.
+	a.stats = IterationStats{Passes: make([]PassStat, 0, len(allocPipeline))}
+	a.roundCtx = roundCtx{}
+	st, ctx := &a.stats, &a.roundCtx
 	tel := a.opts.Telemetry
 	iterSpan := tel.StartSpan(telemetry.CatIteration, "iteration")
 	iterSpan.Arg("iteration", int64(a.roundNo))
 	for _, p := range allocPipeline {
 		if err := a.ctxErr(); err != nil {
 			iterSpan.End()
-			return st, false, err
+			return *st, false, err
 		}
 		if p.when != nil && !p.when(a, ctx) {
 			continue
 		}
-		ps := PassStat{Name: p.name}
+		// The pass records into its slot of st.Passes, whose capacity
+		// covers the whole pipeline, so the stat needs no heap object
+		// of its own.
+		st.Passes = append(st.Passes, PassStat{Name: p.name})
+		ps := &st.Passes[len(st.Passes)-1]
 		sp := tel.StartSpan(telemetry.CatPass, p.name)
-		err := a.runPass(p, ctx, &st, &ps)
-		ps.Time = endPassSpan(&sp, &ps)
+		err := a.runPass(p, ctx, st, ps)
+		ps.Time = endPassSpan(&sp, ps)
 		if tel.Enabled() {
 			tel.Observe(p.metric, ps.Time.Nanoseconds())
 		}
 		*p.times(&st.Times) += ps.Time
-		st.Passes = append(st.Passes, ps)
 		if err != nil {
 			iterSpan.End()
-			return st, false, err
+			return *st, false, err
 		}
 		if ctx.stop || ctx.done {
 			break
 		}
 	}
 	iterSpan.End()
-	return st, ctx.done, nil
+	return *st, ctx.done, nil
 }
 
 // endPassSpan annotates the span with the pass's recorded effect (only

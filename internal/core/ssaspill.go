@@ -58,10 +58,7 @@ func ssaSpillIn(input *iloc.Routine, opts Options, ws *workspace) (res *Result, 
 	if _, err := cfg.SplitCriticalEdges(rt); err != nil {
 		return nil, err
 	}
-	tree, _, err := cfg.Analyze(rt)
-	if err != nil {
-		return nil, err
-	}
+	tree, _ := cfg.AnalyzeInto(&ws.tree, &ws.loops, rt)
 
 	// Liveness for both classes must precede SSA construction (the
 	// solver rejects φ-nodes), then each class converts to pruned SSA.
@@ -83,7 +80,8 @@ func ssaSpillIn(input *iloc.Routine, opts Options, ws *workspace) (res *Result, 
 	// data flow to the shared slot.
 	var webs [iloc.NumClasses]*disjoint.Sets
 	for c := range graphs {
-		webs[c] = disjoint.New(graphs[c].NumValues)
+		ws.classes[c].sets.Reset(graphs[c].NumValues)
+		webs[c] = &ws.classes[c].sets
 	}
 	for _, b := range rt.Blocks {
 		for _, in := range b.Instrs {

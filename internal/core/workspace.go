@@ -4,15 +4,20 @@ import (
 	"sync"
 
 	"repro/internal/bitset"
+	"repro/internal/cfg"
+	"repro/internal/disjoint"
+	"repro/internal/dom"
 	"repro/internal/ig"
 	"repro/internal/iloc"
 	"repro/internal/liveness"
+	"repro/internal/remat"
 	"repro/internal/ssa"
 )
 
 // workspace is the allocator's per-round scratch storage: everything
-// that liveness, SSA construction, graph building and spill costing
-// would otherwise allocate afresh on every call. One allocation holds
+// that dominators, liveness, SSA construction, tag propagation, live
+// range unioning, graph building and spill costing would otherwise
+// allocate afresh on every call. One allocation holds
 // one workspace from start to finish and reuses its storage across
 // rounds, coalescing fixpoints and — through the pool — routines.
 //
@@ -24,6 +29,11 @@ type workspace struct {
 	classes [iloc.NumClasses]classScratch
 	// live is buildGraph's scratch live set.
 	live bitset.Slab
+	// tree and loops are the cfa pass's dominator tree
+	// (dom.ComputeInto) and loop tables (cfg.LoopFinder), valid for the
+	// round that computed them.
+	tree  dom.Tree
+	loops cfg.LoopFinder
 }
 
 // classScratch is the workspace storage for one register class.
@@ -31,6 +41,11 @@ type classScratch struct {
 	live  liveness.Solver
 	ssa   ssa.Builder
 	graph ig.Graph
+	// sets is the round's union-find forest over SSA values (Reset by
+	// renumber); tags and work are remat.PropagateInto's storage.
+	sets disjoint.Sets
+	tags []remat.Tag
+	work []int
 
 	// The classState vectors, rebuilt from scratch every round.
 	cost                []float64

@@ -9,6 +9,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/iloc"
 	"repro/internal/machines"
+	"repro/internal/remat"
 	"repro/internal/target"
 )
 
@@ -60,11 +61,61 @@ func printResult(res *Result, err error) string {
 	return b.String()
 }
 
+// holdsStorage fails the test unless the largest routine left storage
+// in each per-round table a reuse check should cover: a check over an
+// empty table proves nothing.
+func holdsStorage(t *testing.T, ws *workspace, how string) {
+	t.Helper()
+	if len(ws.tree.Idom) == 0 || len(ws.tree.Order) == 0 || len(ws.tree.Children) == 0 {
+		t.Fatalf("after %s the workspace holds no dominator tree", how)
+	}
+	for c := range ws.classes {
+		cs := &ws.classes[c]
+		if cs.sets.Len() == 0 || cap(cs.tags) == 0 || cap(cs.work) == 0 {
+			t.Fatalf("after %s class %d holds sets %d, tags %d, worklist %d", how, c, cs.sets.Len(), cap(cs.tags), cap(cs.work))
+		}
+	}
+}
+
+// poison overwrites what the workspace's union-find forests, tags,
+// worklists and dominator tree hold, within their storage, with values
+// no allocation leaves: every element in one set with raised ranks,
+// every tag ⊥, every worklist entry and tree entry out of range. A
+// table that is not fully reset before use then shows in the output.
+func poison(ws *workspace) {
+	idom := ws.tree.Idom[:cap(ws.tree.Idom)]
+	for i := range idom {
+		idom[i] = 1 << 20
+	}
+	children := ws.tree.Children[:cap(ws.tree.Children)]
+	for i := range children {
+		children[i] = append(children[i][:0], 1<<20)
+	}
+	for c := range ws.classes {
+		cs := &ws.classes[c]
+		for i := 1; i < cs.sets.Len(); i++ {
+			cs.sets.Union(i-1, i)
+		}
+		tags := cs.tags[:cap(cs.tags)]
+		for i := range tags {
+			tags[i] = remat.BottomTag()
+		}
+		work := cs.work[:cap(cs.work)]
+		for i := range work {
+			work[i] = -1
+		}
+	}
+}
+
 // TestWorkspaceReuseIsInvisible: a workspace dirtied by the largest
 // routine of a small corpus — once by a clean allocation, once by a
 // pass that panics midway — allocates every smaller routine under every
 // strategy exactly as a fresh workspace does, and a Result printed
 // before later allocations reused the workspace prints the same after.
+// The dirtying covers every per-round table: liveness (sets and block
+// order), SSA, the dominator tree, the loop tables (split=all-loops),
+// the union-find forests, tags, worklists, graphs and cost vectors; the
+// forests, tags, worklists and tree are then poisoned besides.
 func TestWorkspaceReuseIsInvisible(t *testing.T) {
 	units, err := corpus.Generate(corpus.Spec{Count: 8, Seed: 7})
 	if err != nil {
@@ -128,6 +179,8 @@ func TestWorkspaceReuseIsInvisible(t *testing.T) {
 				t.Fatalf("%s on %s, %s: %v", largest.Name, m.Name, spec, err)
 			}
 		}
+		holdsStorage(t, ws, "a clean allocation of "+largest.Name)
+		poison(ws)
 		check(m, "a clean allocation of "+largest.Name)
 
 		// Dirty it by a pass that panics midway through the allocation:
@@ -149,6 +202,7 @@ func TestWorkspaceReuseIsInvisible(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "injected fault") {
 			t.Fatalf("%s on %s: want the injected coalesce-cons fault, got %v", largest.Name, m.Name, err)
 		}
+		poison(ws)
 		check(m, "a panic in coalesce-cons of round "+fmt.Sprint(panicAt-1))
 	}
 

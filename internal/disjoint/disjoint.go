@@ -15,11 +15,25 @@ type Sets struct {
 
 // New returns a forest of n singleton sets.
 func New(n int) *Sets {
-	s := &Sets{parent: make([]int32, n), rank: make([]int8, n), count: n}
+	s := new(Sets)
+	s.Reset(n)
+	return s
+}
+
+// Reset makes s a forest of n singleton sets, whatever it held before,
+// keeping its storage when it is large enough: a forest reused across
+// rounds allocates only when it must grow.
+func (s *Sets) Reset(n int) {
+	if cap(s.parent) < n || cap(s.rank) < n {
+		s.parent, s.rank = make([]int32, n), make([]int8, n)
+	} else {
+		s.parent, s.rank = s.parent[:n], s.rank[:n]
+		clear(s.rank)
+	}
 	for i := range s.parent {
 		s.parent[i] = int32(i)
 	}
-	return s
+	s.count = n
 }
 
 // Len returns the number of elements in the forest.

@@ -124,3 +124,32 @@ func TestQuickAgainstNaive(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestResetMatchesNew: a forest reset after unions and growth behaves
+// exactly like a new one — same representatives after the same unions,
+// which union by rank makes depend on every rank being cleared.
+func TestResetMatchesNew(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	var reused Sets
+	for _, n := range []int{40, 7, 40, 25, 1, 40} {
+		fresh := New(n)
+		reused.Reset(n)
+		if reused.Len() != n || reused.Count() != n {
+			t.Fatalf("Reset(%d): Len %d Count %d", n, reused.Len(), reused.Count())
+		}
+		for i := 0; i < 2*n; i++ {
+			x, y := r.Intn(n), r.Intn(n)
+			rf, mf := fresh.Union(x, y)
+			rr, mr := reused.Union(x, y)
+			if rf != rr || mf != mr {
+				t.Fatalf("n=%d: Union(%d, %d) = %d,%v on a reset forest, %d,%v on a new one", n, x, y, rr, mr, rf, mf)
+			}
+		}
+		if fresh.Count() != reused.Count() {
+			t.Fatalf("n=%d: %d sets after reset, %d new", n, reused.Count(), fresh.Count())
+		}
+		// Leave the forest dirty and larger for the next round.
+		reused.Grow(n + 3)
+		reused.Union(n, n+2)
+	}
+}

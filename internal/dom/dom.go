@@ -25,15 +25,32 @@ type Tree struct {
 	Order []*iloc.Block
 
 	rpoNum []int // block index -> position in Order
+
+	// The walk's scratch marks, kept for the next ComputeInto.
+	seen, isRoot, processed []bool
 }
 
 // Compute returns the dominator tree of the routine's CFG (edges must be
 // built). Blocks[0] is the root.
 func Compute(rt *iloc.Routine) *Tree {
-	n := len(rt.Blocks)
+	return ComputeInto(nil, rt)
+}
+
+// ComputeInto computes the same tree as Compute into t's storage — its
+// Idom, Children (outer and per-block slices), Order, block numbering
+// and walk scratch — and returns t; a nil t starts a new tree. The
+// previous tree in t is overwritten, so a result is valid until the
+// next ComputeInto on the same storage. A caller that keeps t across
+// routines of the same shape allocates nothing here.
+func ComputeInto(t *Tree, rt *iloc.Routine) *Tree {
+	if t == nil {
+		t = new(Tree)
+	}
 	succs := func(b *iloc.Block) []*iloc.Block { return b.Succs }
 	preds := func(b *iloc.Block) []*iloc.Block { return b.Preds }
-	return compute(rt.Blocks, []*iloc.Block{rt.Entry()}, succs, preds, n)
+	roots := [1]*iloc.Block{rt.Entry()}
+	t.compute(roots[:], succs, preds, len(rt.Blocks))
+	return t
 }
 
 // ComputePost returns the postdominator tree. Because a routine may have
@@ -50,44 +67,54 @@ func ComputePost(rt *iloc.Routine) *Tree {
 	}
 	succs := func(b *iloc.Block) []*iloc.Block { return b.Preds }
 	preds := func(b *iloc.Block) []*iloc.Block { return b.Succs }
-	return compute(rt.Blocks, exits, succs, preds, len(rt.Blocks))
+	t := new(Tree)
+	t.compute(exits, succs, preds, len(rt.Blocks))
+	return t
+}
+
+// fill returns s with length n and every element v, keeping its storage
+// when it is large enough.
+func fill[T any](s []T, n int, v T) []T {
+	if cap(s) < n {
+		s = make([]T, n)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i] = v
+	}
+	return s
 }
 
 // compute implements Cooper-Harvey-Kennedy over an abstract edge
-// orientation. roots lists the entry nodes of the walk (several for the
-// reverse graph); a virtual super-root with index -1 dominates them all.
-func compute(blocks []*iloc.Block, roots []*iloc.Block, succs, preds func(*iloc.Block) []*iloc.Block, n int) *Tree {
-	t := &Tree{
-		Idom:     make([]int, n),
-		Children: make([][]int, n),
-		rpoNum:   make([]int, n),
+// orientation, into t's storage. roots lists the entry nodes of the
+// walk (several for the reverse graph); a virtual super-root with index
+// -1 dominates them all.
+func (t *Tree) compute(roots []*iloc.Block, succs, preds func(*iloc.Block) []*iloc.Block, n int) {
+	t.Idom = fill(t.Idom, n, -1)
+	t.rpoNum = fill(t.rpoNum, n, -1)
+	if cap(t.Children) < n {
+		grown := make([][]int, n)
+		copy(grown, t.Children[:cap(t.Children)])
+		t.Children = grown
 	}
-	for i := range t.Idom {
-		t.Idom[i] = -1
-		t.rpoNum[i] = -1
+	t.Children = t.Children[:n]
+	for i := range t.Children {
+		t.Children[i] = t.Children[i][:0]
 	}
 
 	// Reverse postorder from the roots.
-	seen := make([]bool, n)
-	var post []*iloc.Block
-	var dfs func(b *iloc.Block)
-	dfs = func(b *iloc.Block) {
-		seen[b.Index] = true
-		for _, s := range succs(b) {
-			if !seen[s.Index] {
-				dfs(s)
-			}
-		}
-		post = append(post, b)
+	t.seen = fill(t.seen, n, false)
+	if cap(t.Order) < n {
+		t.Order = make([]*iloc.Block, 0, n)
 	}
+	order := t.Order[:0]
 	for _, r := range roots {
-		if !seen[r.Index] {
-			dfs(r)
+		if !t.seen[r.Index] {
+			order = t.postorder(r, succs, order)
 		}
 	}
-	order := make([]*iloc.Block, len(post))
-	for i, b := range post {
-		order[len(post)-1-i] = b
+	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
+		order[i], order[j] = order[j], order[i]
 	}
 	t.Order = order
 	for i, b := range order {
@@ -97,8 +124,9 @@ func compute(blocks []*iloc.Block, roots []*iloc.Block, succs, preds func(*iloc.
 	// Roots hang off a virtual super-root represented by index -1; their
 	// Idom stays -1 (this also makes multi-exit postdominator trees
 	// well-defined). processed marks nodes whose Idom chain is valid.
-	isRoot := make([]bool, n)
-	processed := make([]bool, n)
+	t.isRoot = fill(t.isRoot, n, false)
+	t.processed = fill(t.processed, n, false)
+	isRoot, processed := t.isRoot, t.processed
 	for _, r := range roots {
 		isRoot[r.Index] = true
 		processed[r.Index] = true
@@ -154,7 +182,18 @@ func compute(blocks []*iloc.Block, roots []*iloc.Block, succs, preds func(*iloc.
 			t.Children[p] = append(t.Children[p], b)
 		}
 	}
-	return t
+}
+
+// postorder appends the blocks reachable from b along succs, unmarked
+// in t.seen, to post in DFS postorder.
+func (t *Tree) postorder(b *iloc.Block, succs func(*iloc.Block) []*iloc.Block, post []*iloc.Block) []*iloc.Block {
+	t.seen[b.Index] = true
+	for _, s := range succs(b) {
+		if !t.seen[s.Index] {
+			post = t.postorder(s, succs, post)
+		}
+	}
+	return append(post, b)
 }
 
 // Dominates reports whether block a dominates block b (reflexive).

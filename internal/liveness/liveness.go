@@ -40,6 +40,10 @@ type Solver struct {
 	slab bitset.Slab
 	ptrs []*bitset.Set
 	info Info
+	// rpo and seen are the block order and its walk's marks
+	// (cfg.ReversePostorderInto).
+	rpo  []*iloc.Block
+	seen []bool
 }
 
 // Compute solves liveness for class c exactly as the package-level
@@ -91,7 +95,8 @@ func (s *Solver) Compute(rt *iloc.Routine, c iloc.Class) *Info {
 
 	// Backward problem: iterate blocks in postorder (reverse RPO) until
 	// the fixpoint.
-	rpo := cfg.ReversePostorder(rt)
+	s.rpo, s.seen = cfg.ReversePostorderInto(s.rpo, s.seen, rt)
+	rpo := s.rpo
 	tmp := &slab[4*nb]
 	for changed := true; changed; {
 		changed = false

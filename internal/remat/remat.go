@@ -164,8 +164,23 @@ func InitialTag(in *iloc.Instr) Tag {
 // returns the final tag of every value (indexed by value number; index 0
 // is ⊤ and unused). On a well-formed graph every value ends at Inst or ⊥.
 func Propagate(g *ssa.Graph) []Tag {
-	tags := make([]Tag, g.NumValues)
-	var work []int
+	tags, _ := PropagateInto(nil, nil, g)
+	return tags
+}
+
+// PropagateInto runs the same propagation as Propagate with tags and
+// the worklist work as its storage, and returns both — grown if they
+// were too small — so a caller that keeps them allocates only when a
+// graph outgrows them. The tags are cleared to ⊤ first, so nothing of
+// an earlier call survives into the result.
+func PropagateInto(tags []Tag, work []int, g *ssa.Graph) ([]Tag, []int) {
+	if cap(tags) < g.NumValues {
+		tags = make([]Tag, g.NumValues)
+	} else {
+		tags = tags[:g.NumValues]
+		clear(tags)
+	}
+	work = work[:0]
 
 	// evaluate recomputes the tag of the value defined by in.
 	evaluate := func(v int) Tag {
@@ -188,8 +203,10 @@ func Propagate(g *ssa.Graph) []Tag {
 	}
 
 	for v := 1; v < g.NumValues; v++ {
-		tags[v] = InitialTag(g.DefOf[v])
-		if tags[v].Kind != Top {
+		// Copies and φ-nodes start at ⊤, which the cleared tags
+		// already hold.
+		if t := InitialTag(g.DefOf[v]); t.Kind != Top {
+			tags[v] = t
 			work = append(work, v)
 		}
 	}
@@ -211,5 +228,5 @@ func Propagate(g *ssa.Graph) []Tag {
 			}
 		}
 	}
-	return tags
+	return tags, work
 }

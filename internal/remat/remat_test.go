@@ -367,3 +367,59 @@ func TestQuickMeetMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPropagateIntoReuseMatchesFresh: tags and a worklist left over
+// from a larger graph give exactly the fresh tags on a smaller one —
+// every copy and φ starts again at ⊤.
+func TestPropagateIntoReuseMatchesFresh(t *testing.T) {
+	srcs := []string{`
+routine big()
+entry:
+    ldi r1, 1
+    ldi r2, 2
+    mov r3, r1
+    mov r4, r2
+    add r5, r3, r4
+    mov r6, r5
+    ldi r7, 7
+    mov r8, r7
+    br lt r5, a, b
+a:
+    mov r9, r8
+    jmp c
+b:
+    mov r9, r6
+    jmp c
+c:
+    retr r9
+`, `
+routine small()
+entry:
+    ldi r1, 3
+    br lt r1, a, b
+a:
+    ldi r2, 4
+    jmp c
+b:
+    mov r2, r1
+    jmp c
+c:
+    retr r2
+`}
+	var (
+		tags []Tag
+		work []int
+	)
+	for _, src := range []string{srcs[0], srcs[1], srcs[0], srcs[1]} {
+		_, g, want := buildAndTag(t, src, iloc.ClassInt)
+		tags, work = PropagateInto(tags, work, g)
+		if len(tags) != len(want) {
+			t.Fatalf("reused propagation gives %d tags, fresh %d", len(tags), len(want))
+		}
+		for v := range want {
+			if !Equal(tags[v], want[v]) {
+				t.Fatalf("value %d: reused tag %v, fresh %v", v, tags[v], want[v])
+			}
+		}
+	}
+}

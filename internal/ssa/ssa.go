@@ -66,6 +66,8 @@ type Builder struct {
 	work           []*iloc.Block
 	popped         []int
 	phiOrig        map[*iloc.Instr]int
+	// sites lists the φ-nodes to insert, in insertion order.
+	sites []phiSite
 
 	g Graph
 
@@ -76,6 +78,17 @@ type Builder struct {
 	tree      *dom.Tree
 	renameErr error
 }
+
+// phiNode is a φ instruction with its operand list header, allocated
+// together.
+type phiNode struct {
+	in  iloc.Instr
+	phi iloc.Phi
+}
+
+// phiSite is a φ-node to insert: at the head of block index block, for
+// original register reg.
+type phiSite struct{ block, reg int }
 
 // Build converts the class-c registers of rt to pruned SSA exactly as the
 // package-level Build does. The returned Graph is valid until the
@@ -125,7 +138,7 @@ func (bd *Builder) Build(rt *iloc.Routine, c iloc.Class, tree *dom.Tree, live *l
 	bd.hasPhi = zeroed(bd.hasPhi, len(rt.Blocks))
 	bd.inWork = zeroed(bd.inWork, len(rt.Blocks))
 	hasPhi, inWork := bd.hasPhi, bd.inWork
-	work := bd.work[:0]
+	work, sites := bd.work[:0], bd.sites[:0]
 	for v := 1; v < nOrig; v++ {
 		if len(defBlocks[v]) == 0 {
 			continue
@@ -143,17 +156,7 @@ func (bd *Builder) Build(rt *iloc.Routine, c iloc.Class, tree *dom.Tree, live *l
 					continue // pruning: dead φ never inserted
 				}
 				hasPhi[fi] = v
-				phi := &iloc.Instr{
-					Op:  iloc.OpPhi,
-					Dst: iloc.Reg{Class: c, N: v},
-					Phi: &iloc.Phi{Args: make([]iloc.Reg, len(f.Preds))},
-				}
-				for i := range phi.Phi.Args {
-					phi.Phi.Args[i] = iloc.Reg{Class: c, N: v}
-				}
-				f.InsertBefore(0, phi)
-				phiOrig[phi] = v
-				stackStart[v+1]++
+				sites = append(sites, phiSite{block: fi, reg: v})
 				if inWork[fi] != v {
 					inWork[fi] = v
 					work = append(work, f)
@@ -161,7 +164,30 @@ func (bd *Builder) Build(rt *iloc.Routine, c iloc.Class, tree *dom.Tree, live *l
 			}
 		}
 	}
-	bd.work = work[:0]
+	bd.work, bd.sites = work[:0], sites
+
+	// Place the φ-nodes in the order they were found. The nodes and
+	// their operand lists are allocated together, exactly sized, and
+	// fresh for this Build: they live on in the routine, so no later
+	// Build may reuse them. Each operand list is capacity-capped.
+	nargs := 0
+	for _, st := range sites {
+		nargs += len(rt.Blocks[st.block].Preds)
+	}
+	nodes := make([]phiNode, len(sites))
+	args := make([]iloc.Reg, nargs)
+	for i, st := range sites {
+		f, r := rt.Blocks[st.block], iloc.Reg{Class: c, N: st.reg}
+		n := &nodes[i]
+		n.phi.Args, args = args[:len(f.Preds):len(f.Preds)], args[len(f.Preds):]
+		for k := range n.phi.Args {
+			n.phi.Args[k] = r
+		}
+		n.in = iloc.Instr{Op: iloc.OpPhi, Dst: r, Phi: &n.phi}
+		f.InsertBefore(0, &n.in)
+		phiOrig[&n.in] = st.reg
+		stackStart[st.reg+1]++
+	}
 
 	// Rename over the dominator tree. Every renaming stack is a
 	// capacity-capped run of one flat array, and the value tables are
