@@ -4,18 +4,19 @@
 
 GO ?= go
 
-.PHONY: check ci fmt vet build test race verify fuzz smoke-server smoke-store smoke-cluster smoke-jobs smoke-strategies smoke-corpus bench bench-server bench-cluster benchdiff benchdiff-soft
+.PHONY: check ci fmt vet build test test-perfbench race verify fuzz smoke-server smoke-store smoke-cluster smoke-jobs smoke-strategies smoke-corpus bench bench-server bench-cluster benchdiff benchdiff-soft
 
-check: fmt vet build test race verify fuzz smoke-strategies smoke-server smoke-store smoke-cluster smoke-jobs smoke-corpus
+check: fmt vet build test test-perfbench race verify fuzz smoke-strategies smoke-server smoke-store smoke-cluster smoke-jobs smoke-corpus
 
 # ci runs exactly what .github/workflows/ci.yml runs, in the same
-# order: the gates, the fuzz smoke, the strategy-matrix smoke, the
+# order: the gates (the benchmark's own tests among them), the fuzz
+# smoke, the strategy-matrix smoke, the
 # serving smoke, the persistent-cache smoke, the cluster chaos smoke,
 # the async-job/audit smoke, the benchmark snapshots, then the
 # regression comparison against the committed baselines. The comparison
 # is soft here as in CI (shared runners are noisy) — run `make
 # benchdiff` for the hard-failing version.
-ci: fmt vet build test race fuzz smoke-strategies smoke-server smoke-store smoke-cluster smoke-jobs smoke-corpus bench bench-server bench-cluster benchdiff-soft
+ci: fmt vet build test test-perfbench race fuzz smoke-strategies smoke-server smoke-store smoke-cluster smoke-jobs smoke-corpus bench bench-server bench-cluster benchdiff-soft
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -31,6 +32,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# test-perfbench runs the benchmark's own tests. perfbench is a module
+# of its own (it takes this checkout's packages through a replace), so
+# `go test ./...` at the root does not reach it.
+test-perfbench:
+	cd perfbench && $(GO) test ./...
 
 # The batch driver allocates routines concurrently; the race detector
 # guards the no-shared-mutable-state contract of core.Allocate (and,

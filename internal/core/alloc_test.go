@@ -10,14 +10,17 @@ import (
 )
 
 // fig1AllocCeiling bounds the heap allocations of one verified remat
-// allocation of Figure 1 on a 3-register machine: about 440 with go1.24.
+// allocation of Figure 1 on a 3-register machine: about 173 with go1.24.
 // The allocator made about 2600 before its hot path reused its
 // interference graphs, took liveness sets from one slab and formatted
-// verifier diagnostics only on failure, and about 700 before liveness,
-// SSA, graph and cost storage moved into the pooled workspace. A change
-// that brings per-instruction, per-block or per-round allocation back
-// trips this ceiling.
-const fig1AllocCeiling = 520
+// verifier diagnostics only on failure, about 700 before liveness, SSA,
+// graph and cost storage moved into the pooled workspace, and about 440
+// before routine copies moved into arenas, the verifier stopped
+// deep-cloning and the CFG, dominator, loop, union-find and tag storage
+// joined the workspace. A change that brings per-instruction, per-block
+// or per-round allocation back trips this ceiling, which leaves under
+// 5% headroom.
+const fig1AllocCeiling = 181
 
 // TestFigure1AllocCeiling holds one verified allocation of Figure 1
 // under a committed allocation budget.
